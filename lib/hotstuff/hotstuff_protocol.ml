@@ -33,9 +33,9 @@ type replica = {
   (* Pending client requests (every replica sees every request: clients
      broadcast in rotating-leader mode). *)
   queue : Message.request Queue.t;
-  queued : (int, unit) Hashtbl.t;
-  in_chain : (int, int) Hashtbl.t;
-      (* request key -> number of stored blocks carrying it. Committed
+  queued : R.Rid_index.t;
+  in_chain : R.Rid_index.t;
+      (* request -> number of stored blocks carrying it. Committed
          blocks keep their count forever — execution is asynchronous, so
          dropping a key at commit time would let the next leader re-propose
          it before [Exec.was_executed] turns true. Only a dead fork
@@ -117,14 +117,7 @@ let rec commit_branch t ~tip_qc =
     | Error gap -> request_block t gap
     | Ok chain ->
         let release_requests (batch : Message.batch) =
-          Array.iter
-            (fun req ->
-              let key = Message.request_key req in
-              match Hashtbl.find_opt t.in_chain key with
-              | Some c when c > 1 -> Hashtbl.replace t.in_chain key (c - 1)
-              | Some _ -> Hashtbl.remove t.in_chain key
-              | None -> ())
-            batch.Message.reqs
+          Array.iter (R.Rid_index.remove t.in_chain) batch.Message.reqs
         in
         let rec go r chain =
           if r <= boundary then
@@ -271,10 +264,10 @@ and next_batch t =
   let count = ref 0 in
   while !count < cfg.Config.batch_size && not (Queue.is_empty t.queue) do
     let req = Queue.pop t.queue in
-    Hashtbl.remove t.queued (Message.request_key req);
+    R.Rid_index.remove t.queued req;
     if
       (not (Exec.was_executed t.exec req))
-      && not (Hashtbl.mem t.in_chain (Message.request_key req))
+      && not (R.Rid_index.mem t.in_chain req)
     then begin
       reqs := req :: !reqs;
       incr count
@@ -327,12 +320,7 @@ and on_proposal t ~src ~round ~(batch : Message.batch) ~qc_round =
       Hashtbl.replace t.blocks round batch;
       Hashtbl.replace t.parents round qc_round;
       tr_phase t ~round "propose";
-      Array.iter
-        (fun req ->
-          let key = Message.request_key req in
-          Hashtbl.replace t.in_chain key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt t.in_chain key)))
-        batch.Message.reqs
+      Array.iter (R.Rid_index.add t.in_chain) batch.Message.reqs
     end;
     t.qc_high <- max t.qc_high qc_round;
     (* Two-chain lock: a QC for [qc_round] directly on top of its
@@ -426,13 +414,12 @@ and on_new_view t ~src ~round =
   end
 
 let on_client_request t (req : Message.request) =
-  let key = Message.request_key req in
   if
     (not (Exec.was_executed t.exec req))
-    && (not (Hashtbl.mem t.in_chain key))
-    && not (Hashtbl.mem t.queued key)
+    && (not (R.Rid_index.mem t.in_chain req))
+    && not (R.Rid_index.mem t.queued req)
   then begin
-    Hashtbl.replace t.queued key ();
+    R.Rid_index.add t.queued req;
     Queue.push req t.queue;
     (* An idle chain restarts as soon as work arrives. *)
     try_lead t ~round:(t.round + 1)
@@ -453,8 +440,8 @@ let create_replica ctx =
           ~on_suspect:(fun () -> ())
           ();
       queue = Queue.create ();
-      queued = Hashtbl.create 4096;
-      in_chain = Hashtbl.create 1024;
+      queued = R.Rid_index.create ();
+      in_chain = R.Rid_index.create ();
       blocks = Hashtbl.create 1024;
       parents = Hashtbl.create 1024;
       votes = Hashtbl.create 64;

@@ -9,7 +9,6 @@ type t = {
   ready : (int, int * Message.batch * Block.proof) Hashtbl.t;
       (* offered but not yet scheduled: seqno -> (view, batch, proof) *)
   executed : (int, record) Hashtbl.t; (* retained executed batches *)
-  exec_keys : (int, unit) Hashtbl.t; (* request keys retained *)
   mutable k_exec : int;       (* last finished *)
   mutable k_sched : int;      (* last submitted to the execute lane *)
   mutable stable : int;
@@ -23,7 +22,6 @@ let create ~ctx ?on_executed ?(respond = true) () =
     respond;
     ready = Hashtbl.create 256;
     executed = Hashtbl.create 1024;
-    exec_keys = Hashtbl.create 4096;
     k_exec = -1;
     k_sched = -1;
     stable = -1;
@@ -46,13 +44,7 @@ let executed_since t seqno =
   in
   collect [] (max (seqno + 1) (t.stable + 1))
 
-let was_executed t req = Hashtbl.mem t.exec_keys (Message.request_key req)
-
-let remember t seqno view batch result =
-  Hashtbl.replace t.executed seqno { view; batch; result };
-  Array.iter
-    (fun r -> Hashtbl.replace t.exec_keys (Message.request_key r) ())
-    batch.Message.reqs
+let was_executed t req = Replica_ctx.was_executed t.ctx req
 
 let send_responses t ~view ~seqno ~(batch : Message.batch) ~result_digest =
   let cfg = Replica_ctx.config t.ctx in
@@ -119,7 +111,7 @@ let finish t ~view ~seqno ~batch ~proof =
   if Replica_ctx.id t.ctx = observer then
     Stats.record_consensus (Replica_ctx.stats t.ctx) ~now:(Replica_ctx.now t.ctx);
   t.k_exec <- seqno;
-  remember t seqno view batch result_digest;
+  Hashtbl.replace t.executed seqno { view; batch; result = result_digest };
   if t.respond then send_responses t ~view ~seqno ~batch ~result_digest;
   match t.on_executed with
   | Some f -> f ~seqno ~batch ~result:result_digest
@@ -182,13 +174,7 @@ let rollback_to t ~seqno =
       "rollback";
   let dropped = ref [] in
   Hashtbl.iter
-    (fun k (r : record) ->
-      if k > seqno then begin
-        dropped := k :: !dropped;
-        Array.iter
-          (fun req -> Hashtbl.remove t.exec_keys (Message.request_key req))
-          r.batch.Message.reqs
-      end)
+    (fun k (_ : record) -> if k > seqno then dropped := k :: !dropped)
     t.executed;
   List.iter (Hashtbl.remove t.executed) !dropped;
   Hashtbl.reset t.ready;
@@ -236,20 +222,19 @@ let adopt_snapshot t ~upto ~rows ~blocks =
     Replica_ctx.install_snapshot t.ctx ~upto ~rows ~blocks;
     Hashtbl.reset t.ready;
     Hashtbl.reset t.executed;
-    Hashtbl.reset t.exec_keys;
     t.k_exec <- upto;
     t.k_sched <- upto;
     t.stable <- max t.stable upto;
     t.epoch <- t.epoch + 1
   end
 
-(* Checkpoint GC drops the retained batches but keeps [exec_keys]: a
-   request stays deduplicable forever, so a client retransmission that
-   straggles in after its batch was garbage-collected (long partition,
-   heavy bursty loss) cannot be executed a second time. Keys are only
-   removed on rollback, where re-execution is legitimate. The table grows
-   with the run — an int per request — which a simulation afford gladly
-   for the at-most-once guarantee. *)
+(* Checkpoint GC drops the retained batches but not the replica's
+   executed-request index: a request stays deduplicable forever, so a
+   client retransmission that straggles in after its batch was
+   garbage-collected (long partition, heavy bursty loss) cannot be
+   executed a second time. Requests only leave the index on rollback,
+   where re-execution is legitimate. The index grows with the run, by one
+   bit per request (see {!Rid_index}). *)
 let gc_below t ~seqno =
   let dropped = ref [] in
   Hashtbl.iter

@@ -49,7 +49,9 @@ val was_executed : t -> Message.request -> bool
     checkpoint (duplicate suppression for client re-forwards must outlive
     retention, or a straggling retransmission after a long partition would
     be executed twice). Rolled-back executions are forgotten, so their
-    requests can run again. *)
+    requests can run again; a request executed in two live slots stays
+    executed until both are rolled back. Same as
+    {!Replica_ctx.was_executed} on this engine's replica. *)
 
 val rollback_to : t -> seqno:int -> int
 (** Revert executed batches above [seqno] (undo log + ledger + bookkeeping);

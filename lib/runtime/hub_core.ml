@@ -3,12 +3,16 @@ module Network = Poe_simnet.Network
 module Rng = Poe_simnet.Rng
 module Ycsb = Poe_store.Ycsb
 
+type tally = { t_seqno : int; t_digest : string; mutable t_count : int }
+
 type request_state = {
   req : Message.request;
   mutable responses : (int * (int * int * string)) list;
   mutable first_sent : float;
   mutable retries : int;
   mutable next_deadline : float;
+  mutable responders : Bytes.t;
+  mutable tallies : tally list;
 }
 
 type send_mode = To_primary | To_all
@@ -146,6 +150,8 @@ let submit_next t client =
         first_sent = Engine.now t.engine;
         retries = 0;
         next_deadline = 0.0;
+        responders = Bytes.empty;
+        tallies = [];
       }
     in
     arm_deadline t rs;
@@ -165,9 +171,9 @@ let submit_next t client =
     ensure_flush t
   end
 
-(* Responses lists are at most n long, so quorum counting scans them
-   directly — this runs once per delivered response, so it must not
-   allocate. *)
+(* The witness scan: quadratic in the (at most n) responses, so it runs
+   only at completion under tracing and in timeout hooks, never per
+   delivered response. *)
 let count_matching rs ~seqno ~digest =
   List.fold_left
     (fun acc (_, (_, s, d)) ->
@@ -278,6 +284,33 @@ let start t =
     (Engine.schedule t.engine ~delay:(sweep_interval t) (fun () ->
          timeout_sweep t))
 
+(* Per-response quorum bookkeeping, O(1) in n: a bitset of the replicas
+   that already answered (each counts once) and a running count
+   per distinct (seqno, result digest) — almost always a single entry. *)
+let responded rs replica =
+  let byte = replica lsr 3 in
+  byte < Bytes.length rs.responders
+  && Char.code (Bytes.get rs.responders byte) land (1 lsl (replica land 7)) <> 0
+
+let mark_responded t rs replica =
+  if Bytes.length rs.responders = 0 then
+    rs.responders <- Bytes.make ((t.config.Config.n + 7) / 8) '\000';
+  let byte = replica lsr 3 in
+  Bytes.set rs.responders byte
+    (Char.unsafe_chr
+       (Char.code (Bytes.get rs.responders byte) lor (1 lsl (replica land 7))))
+
+let rec bump_tally rs ~seqno ~digest = function
+  | [] ->
+      rs.tallies <- { t_seqno = seqno; t_digest = digest; t_count = 1 } :: rs.tallies;
+      1
+  | g :: rest ->
+      if g.t_seqno = seqno && String.equal g.t_digest digest then begin
+        g.t_count <- g.t_count + 1;
+        g.t_count
+      end
+      else bump_tally rs ~seqno ~digest rest
+
 let handle_response t ~view ~seqno ~replica ~result_digest acks =
   if view > t.believed_view then t.believed_view <- view;
   List.iter
@@ -285,9 +318,12 @@ let handle_response t ~view ~seqno ~replica ~result_digest acks =
       match Hashtbl.find_opt t.outstanding (client, rid) with
       | None -> () (* already completed or unknown *)
       | Some rs ->
-          if not (List.mem_assoc replica rs.responses) then begin
+          if not (responded rs replica) then begin
+            mark_responded t rs replica;
             rs.responses <- (replica, (view, seqno, result_digest)) :: rs.responses;
-            if count_matching rs ~seqno ~digest:result_digest >= t.hooks.quorum
+            if
+              bump_tally rs ~seqno ~digest:result_digest rs.tallies
+              >= t.hooks.quorum
             then complete t rs
           end)
     acks

@@ -14,6 +14,9 @@
 
 type t
 
+type tally
+(** How many distinct replicas answered with one (seqno, result digest). *)
+
 type request_state = {
   req : Message.request;
   mutable responses : (int * (int * int * string)) list;
@@ -24,6 +27,11 @@ type request_state = {
       (** when the next retransmission fires: exponential backoff (doubling
           per retry, capped at 64x) with up to 25% seeded jitter per arm,
           so lossy runs do not degenerate into synchronized storms *)
+  mutable responders : Bytes.t;
+      (** one bit per replica in [responses] (empty before the first) *)
+  mutable tallies : tally list;
+      (** running quorum counts over [responses], one per distinct
+          (seqno, result digest) *)
 }
 
 type send_mode =

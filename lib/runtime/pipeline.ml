@@ -2,7 +2,7 @@ type t = {
   ctx : Replica_ctx.t;
   on_batch : Message.batch -> unit;
   queue : Message.request Queue.t;
-  seen : (int, unit) Hashtbl.t; (* request keys ever enqueued *)
+  seen : Rid_index.t; (* requests ever enqueued *)
   mutable in_flight : int;
   mutable batch_timer : Poe_simnet.Engine.timer option;
 }
@@ -12,7 +12,7 @@ let create ~ctx ~on_batch () =
     ctx;
     on_batch;
     queue = Queue.create ();
-    seen = Hashtbl.create 4096;
+    seen = Rid_index.create ();
     in_flight = 0;
     batch_timer = None;
   }
@@ -20,8 +20,10 @@ let create ~ctx ~on_batch () =
 let in_flight t = t.in_flight
 let queued t = Queue.length t.queue
 
-let already_proposed t req = Hashtbl.mem t.seen (Message.request_key req)
-let mark_proposed t req = Hashtbl.replace t.seen (Message.request_key req) ()
+let already_proposed t req = Rid_index.mem t.seen req
+
+let mark_proposed t req =
+  if not (Rid_index.mem t.seen req) then Rid_index.add t.seen req
 
 let config t = Replica_ctx.config t.ctx
 
@@ -92,9 +94,8 @@ let rec try_dispatch t =
                end))
 
 let add_request t req =
-  let key = Message.request_key req in
-  if not (Hashtbl.mem t.seen key) then begin
-    Hashtbl.replace t.seen key ();
+  if not (Rid_index.mem t.seen req) then begin
+    Rid_index.add t.seen req;
     Queue.push req t.queue;
     try_dispatch t
   end
@@ -113,6 +114,6 @@ let drain_pending t =
   cancel_timer t;
   let reqs = List.of_seq (Queue.to_seq t.queue) in
   Queue.clear t.queue;
-  (* Keep the keys in [seen]: the caller immediately re-proposes these
+  (* Keep the requests in [seen]: the caller immediately re-proposes these
      requests itself; duplicates arriving later must still be dropped. *)
   reqs

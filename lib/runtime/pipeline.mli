@@ -8,7 +8,7 @@
     out-of-order processing disabled the window is 1, which is exactly the
     sequential regime of Fig. 9(k,l).
 
-    Duplicate suppression: a request key that was already proposed is
+    Duplicate suppression: a request that was already proposed is
     dropped, so client timeout-driven re-forwards do not execute twice. *)
 
 type t
@@ -41,7 +41,7 @@ val drain_pending : t -> Message.request list
 val already_proposed : t -> Message.request -> bool
 
 val mark_proposed : t -> Message.request -> unit
-(** Record the request's key as already proposed without enqueueing it.
+(** Record the request as already proposed without enqueueing it.
     A new primary adopting slots still in flight in its view (e.g.
     PBFT's re-proposed prepared batches) marks their requests so a
     client retransmission arriving before the slot re-commits — while

@@ -121,13 +121,20 @@ val execute_batch :
     [Execute] lane first), since batching of the charge is protocol
     specific. *)
 
+val was_executed : t -> Message.request -> bool
+(** Whether the request has a live (not rolled-back) execution on this
+    replica, including executions below the stable checkpoint. Backed by
+    a {!Rid_index}: one bit per request ever executed. *)
+
 val rollback_to : t -> seqno:int -> int
 (** Revert speculative batches with seqno strictly greater than the
     argument (undo log + ledger); returns number of batches reverted.
     No-op (returning 0) in cost-only runs. *)
 
 val stable_checkpoint : t -> seqno:int -> unit
-(** Garbage-collect undo information up to and including [seqno]. *)
+(** Garbage-collect undo information up to and including [seqno], and the
+    per-seqno request lists a rollback above it would need. The executed
+    requests themselves stay recorded ({!was_executed}). *)
 
 val checkpoint_snapshot :
   t -> upto:int -> (string * string) list * Poe_ledger.Block.t list
@@ -140,7 +147,8 @@ val install_snapshot :
   blocks:Poe_ledger.Block.t list -> unit
 (** Replace the local application state and ledger with a transferred
     checkpoint (no-op on the state in cost-only runs); resets the undo log
-    and the executed-digest bookkeeping to start from [upto]. *)
+    and the executed-digest and executed-request bookkeeping to start
+    from [upto]. *)
 
 val threshold :
   t -> (Poe_crypto.Threshold.scheme * Poe_crypto.Threshold.signer) option

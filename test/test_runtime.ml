@@ -1,6 +1,7 @@
 (* Tests for the replica runtime: configuration invariants, the cost model,
    CPU-lane queueing, measurement windows, wire sizes, the batching
-   pipeline, and the in-order execution engine (including rollback). *)
+   pipeline, the in-order execution engine (including rollback), and the
+   executed-request index behind at-most-once execution. *)
 
 module R = Poe_runtime
 module Config = R.Config
@@ -412,6 +413,164 @@ let test_exec_force_adopt_gap () =
       Exec.force_adopt exec ~seqno:5 ~view:0 ~batch:(batch_of 5)
         ~proof:Block.No_proof)
 
+(* ------------------------------------------------------------------ *)
+(* Executed-request index                                              *)
+
+module Rid_index = R.Rid_index
+
+let req_of (hub, client, rid) =
+  { Message.hub; client; rid; op = None; submitted = 0.0 }
+
+type index_step =
+  | Add_slot of (int * int * int) list  (* execute a batch of requests *)
+  | Remove of (int * int * int)
+  | Rollback of int  (* undo the newest k slots *)
+  | Clear
+
+(* Rids cluster around byte boundaries (7/8, 15/16, 63/64) and far ones
+   force repeated doubling of a client's bitset. *)
+let ident_gen =
+  QCheck.Gen.(
+    triple (int_bound 2) (int_bound 4)
+      (oneof
+         [
+           int_bound 17;
+           map (fun d -> 63 + d) (int_bound 2);
+           map (fun d -> 1000 + d) (int_bound 9);
+         ]))
+
+let step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun l -> Add_slot l) (list_size (int_range 1 4) ident_gen));
+        (2, map (fun i -> Remove i) ident_gen);
+        (2, map (fun k -> Rollback k) (int_range 1 3));
+        (1, return Clear);
+      ])
+
+let print_step = function
+  | Add_slot l ->
+      "add "
+      ^ String.concat ","
+          (List.map (fun (h, c, r) -> Printf.sprintf "%d/%d/%d" h c r) l)
+  | Remove (h, c, r) -> Printf.sprintf "remove %d/%d/%d" h c r
+  | Rollback k -> Printf.sprintf "rollback %d" k
+  | Clear -> "clear"
+
+(* The index against a naive multiset (an association list of counts),
+   driven the way a replica drives it: slots add their requests, a
+   rollback takes the newest slots' requests out again. Membership is
+   compared after every step, so a multiplicity the index lost or kept
+   shows as soon as a removal reaches it. *)
+let prop_index_matches_multiset =
+  QCheck.Test.make ~name:"rid index = naive multiset" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map print_step l))
+       QCheck.Gen.(list_size (int_range 1 60) step_gen))
+    (fun steps ->
+      let index = Rid_index.create () in
+      let model = ref [] in
+      let count i = Option.value ~default:0 (List.assoc_opt i !model) in
+      let set i c =
+        model := (i, c) :: List.remove_assoc i !model;
+        if c = 0 then model := List.remove_assoc i !model
+      in
+      let slots = ref [] in
+      let remove i =
+        Rid_index.remove index (req_of i);
+        set i (max 0 (count i - 1))
+      in
+      let seen = ref [] in
+      let agrees () =
+        List.for_all
+          (fun i -> Rid_index.mem index (req_of i) = (count i > 0))
+          !seen
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Add_slot l ->
+              List.iter
+                (fun i ->
+                  Rid_index.add index (req_of i);
+                  set i (count i + 1);
+                  seen := i :: !seen)
+                l;
+              slots := l :: !slots
+          | Remove i ->
+              remove i;
+              seen := i :: !seen
+          | Rollback k ->
+              let rec undo k =
+                match !slots with
+                | l :: rest when k > 0 ->
+                    List.iter remove l;
+                    slots := rest;
+                    undo (k - 1)
+                | _ -> ()
+              in
+              undo k
+          | Clear ->
+              Rid_index.clear index;
+              model := [];
+              slots := []);
+          agrees ())
+        steps)
+
+(* ------------------------------------------------------------------ *)
+(* Replica_ctx at-most-once bookkeeping                                *)
+
+let single_req_batch ?op (hub, client, rid) =
+  Message.batch_of_requests ~materialize:(op <> None)
+    [ { Message.hub; client; rid; op; submitted = 0.0 } ]
+
+let test_ctx_double_execution_trips () =
+  let _, ctx = make_ctx () in
+  let b = single_req_batch (0, 3, 9) in
+  ignore (Ctx.execute_batch ctx ~view:0 ~seqno:0 b ~proof:Block.No_proof);
+  Alcotest.(check int) "first execution is fine" 0 (Ctx.duplicate_executions ctx);
+  ignore (Ctx.execute_batch ctx ~view:0 ~seqno:1 b ~proof:Block.No_proof);
+  Alcotest.(check int) "second live execution trips" 1
+    (Ctx.duplicate_executions ctx)
+
+let test_ctx_rollback_one_of_two () =
+  let _, ctx = make_ctx () in
+  let b = single_req_batch (1, 2, 8) in
+  let r = b.Message.reqs.(0) in
+  ignore (Ctx.execute_batch ctx ~view:0 ~seqno:0 b ~proof:Block.No_proof);
+  ignore (Ctx.execute_batch ctx ~view:0 ~seqno:1 b ~proof:Block.No_proof);
+  ignore (Ctx.rollback_to ctx ~seqno:0);
+  Alcotest.(check bool) "one live execution left" true (Ctx.was_executed ctx r);
+  ignore (Ctx.rollback_to ctx ~seqno:(-1));
+  Alcotest.(check bool) "both rolled back" false (Ctx.was_executed ctx r)
+
+let test_ctx_snapshot_clears_index () =
+  let _, ctx = make_ctx () in
+  let b = single_req_batch (0, 0, 7) in
+  ignore (Ctx.execute_batch ctx ~view:0 ~seqno:0 b ~proof:Block.No_proof);
+  Ctx.stable_checkpoint ctx ~seqno:0;
+  Alcotest.(check bool) "executed past the checkpoint" true
+    (Ctx.was_executed ctx b.Message.reqs.(0));
+  Ctx.install_snapshot ctx ~upto:5 ~rows:[] ~blocks:[];
+  Alcotest.(check bool) "snapshot forgets it" false
+    (Ctx.was_executed ctx b.Message.reqs.(0));
+  Alcotest.(check int) "no executions left" 0 (Ctx.executed_count ctx)
+
+let test_ctx_reproposal_deduped () =
+  let _, ctx = make_ctx ~materialize:true () in
+  let b =
+    single_req_batch ~op:(Poe_store.Kv_store.Update ("user1", "AAA")) (0, 1, 0)
+  in
+  ignore (Ctx.execute_batch ctx ~view:0 ~seqno:0 b ~proof:Block.No_proof);
+  let again = Ctx.execute_batch ctx ~view:1 ~seqno:1 b ~proof:Block.No_proof in
+  Alcotest.(check int) "re-proposal skipped" 1 (Ctx.deduped_requests ctx);
+  Alcotest.(check int) "not a duplicate execution" 0
+    (Ctx.duplicate_executions ctx);
+  Alcotest.(check string) "nothing applied in the second slot"
+    (Poe_crypto.Sha256.digest_list [ b.Message.digest ])
+    again
+
 let () =
   Alcotest.run "runtime"
     [
@@ -461,5 +620,18 @@ let () =
           Alcotest.test_case "rollback (materialized)" `Quick
             test_exec_rollback_materialized;
           Alcotest.test_case "force_adopt gap" `Quick test_exec_force_adopt_gap;
+        ] );
+      ( "rid_index",
+        [ QCheck_alcotest.to_alcotest prop_index_matches_multiset ] );
+      ( "replica_ctx",
+        [
+          Alcotest.test_case "double execution trips without a store" `Quick
+            test_ctx_double_execution_trips;
+          Alcotest.test_case "rollback of one of two executions" `Quick
+            test_ctx_rollback_one_of_two;
+          Alcotest.test_case "install_snapshot clears the index" `Quick
+            test_ctx_snapshot_clears_index;
+          Alcotest.test_case "re-proposal deduped with a store" `Quick
+            test_ctx_reproposal_deduped;
         ] );
     ]

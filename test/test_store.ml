@@ -101,6 +101,20 @@ let test_decode_garbage () =
     (fun s -> Alcotest.(check bool) ("garbage: " ^ s) true (Kv.decode_op s = None))
     [ ""; "X"; "R"; "R3:ab"; "U2:ab"; "U2:ab3:xy"; "R2:abEXTRA"; "R-1:" ]
 
+(* Execution digests hash these strings, so their text is frozen. *)
+let test_result_strings () =
+  List.iter
+    (fun (r, expected) ->
+      Alcotest.(check string) expected expected (Kv.result_to_string r);
+      Alcotest.(check string) ("pp " ^ expected) expected
+        (Format.asprintf "%a" Kv.pp_result r))
+    [
+      (Kv.Value "", "value(0 bytes)");
+      (Kv.Value (String.make 1000 'x'), "value(1000 bytes)");
+      (Kv.Missing, "missing");
+      (Kv.Ok, "ok");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Undo_log                                                            *)
 
@@ -261,6 +275,7 @@ let () =
           Alcotest.test_case "single-op undo" `Quick test_kv_undo_single;
           Alcotest.test_case "ycsb load" `Quick test_kv_load_ycsb;
           Alcotest.test_case "decode garbage" `Quick test_decode_garbage;
+          Alcotest.test_case "result strings" `Quick test_result_strings;
         ]
         @ List.map QCheck_alcotest.to_alcotest kv_qcheck );
       ( "undo_log",
