@@ -137,29 +137,25 @@ let show series =
 
 (* ------------------------------------------------------------------ *)
 (* Self-profiling: every figure runs in a profiled region, and its
-   wall-clock, allocation/GC and hot-path counter deltas land in
-   BENCH_wallclock.json. Counters merge in from worker domains through
-   the pool's job epilogue before each grid call returns, so the deltas
-   are identical for any POE_JOBS; wall-clock and GC fields are host
-   noise and are tagged unstable in the JSON. *)
+   wall-clock, allocation/GC and hot-path counters (Sum deltas and its
+   own queue high-water mark) land in BENCH_wallclock.json. Counters
+   merge in from worker domains through the pool's job epilogue before
+   each grid call returns, so they are identical for any POE_JOBS;
+   wall-clock and GC fields are host noise and are tagged unstable in
+   the JSON. *)
 
 module Prof = Poe_prof.Prof
 
 let bench_figures : Prof.bench_figure list ref = ref []
 
 let figure name f =
-  let c0 = Prof.counters () in
   let a0 = Gc.allocated_bytes () in
   let q0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
-  let r = Prof.with_region name f in
+  let r, fig_counters = Prof.with_counters (fun () -> Prof.with_region name f) in
   let t1 = Unix.gettimeofday () in
   let q1 = Gc.quick_stat () in
   let a1 = Gc.allocated_bytes () in
-  let c1 = Prof.counters () in
-  let fig_counters =
-    Array.to_list (Array.map2 (fun (n, v1) (_, v0) -> (n, v1 - v0)) c1 c0)
-  in
   bench_figures :=
     {
       Prof.fig_name = name;

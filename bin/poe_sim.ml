@@ -122,8 +122,9 @@ let metrics_flag =
     value & flag
     & info [ "metrics" ]
         ~doc:
-          "Collect counters, latency histograms and lane-utilization samples \
-           during the run and print a summary afterwards.")
+          "Collect latency histograms and lane-utilization samples during \
+           the run and print a summary afterwards, headed by the run's \
+           non-zero counter increments.")
 
 let report_file =
   Arg.(
@@ -338,7 +339,8 @@ let heartbeat_file =
           "Write the deterministic heartbeat JSONL stream(s) to $(docv): \
            one line per --heartbeat-interval of simulated time with \
            per-replica commit/exec watermarks, view, queue depth, \
-           in-flight requests and counter deltas. Byte-identical for a \
+           in-flight requests and (with --metrics) counter deltas. \
+           Byte-identical for a \
            fixed seed across --jobs values once the unstable-tagged \
            wall-clock field is stripped.")
 

@@ -8,51 +8,7 @@ let normalize_key key =
 let xor_pad key byte =
   String.init block_size (fun i -> Char.chr (Char.code key.[i] lxor byte))
 
-(* The two padded key blocks are fixed per key, so their compressions are
-   paid once at [prepare] time; each message then costs only the inner
-   stream plus one outer block. *)
-type prepared = {
-  inner : Sha256.midstate;  (* state after (key xor ipad) *)
-  outer : Sha256.midstate;  (* state after (key xor opad) *)
-}
-
-let prepare ~key =
+let mac ~key msg =
   let key = normalize_key key in
-  {
-    inner = Sha256.midstate_of_block (xor_pad key 0x36);
-    outer = Sha256.midstate_of_block (xor_pad key 0x5c);
-  }
-
-let mac_list_prepared p parts =
-  Poe_prof.Prof.(bump ix_macs_computed);
-  let ctx = Sha256.resume p.inner in
-  List.iter (Sha256.feed ctx) parts;
-  let inner_digest = Sha256.finalize ctx in
-  let ctx = Sha256.resume p.outer in
-  Sha256.feed ctx inner_digest;
-  Sha256.finalize ctx
-
-let mac_prepared p msg = mac_list_prepared p [ msg ]
-
-let mac_list ~key parts = mac_list_prepared (prepare ~key) parts
-
-let mac ~key msg = mac_list ~key [ msg ]
-
-(* Constant-time fold so verification time does not leak the mismatch
-   position. *)
-let eq_constant_time a b =
-  String.length a = String.length b
-  &&
-  let diff = ref 0 in
-  String.iteri
-    (fun i c -> diff := !diff lor (Char.code c lxor Char.code b.[i]))
-    a;
-  !diff = 0
-
-let verify_prepared p msg ~tag = eq_constant_time tag (mac_prepared p msg)
-
-let verify ~key msg ~tag = eq_constant_time tag (mac ~key msg)
-
-let truncated ~key msg n =
-  if n < 1 || n > Sha256.digest_size then invalid_arg "Hmac.truncated";
-  String.sub (mac ~key msg) 0 n
+  let inner = Sha256.digest_list [ xor_pad key 0x36; msg ] in
+  Sha256.digest_list [ xor_pad key 0x5c; inner ]

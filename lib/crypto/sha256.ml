@@ -176,28 +176,6 @@ let digest_list parts =
   List.iter (feed ctx) parts;
   finalize ctx
 
-(* Midstates: the chain value after absorbing exactly one 64-byte block.
-   HMAC's inner/outer padded key blocks are fixed per key, so callers can
-   compress them once and resume per message. *)
-
-type midstate = int array
-
-let midstate_of_block block =
-  if String.length block <> 64 then
-    invalid_arg "Sha256.midstate_of_block: block must be 64 bytes";
-  let ctx = init () in
-  compress_string ctx block 0;
-  ctx.h
-
-let resume ms =
-  {
-    h = Array.copy ms;
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 64;
-    w = Array.make 64 0;
-  }
-
 let hex_chars = "0123456789abcdef"
 
 let to_hex s =

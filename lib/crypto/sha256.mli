@@ -2,7 +2,7 @@
 
     The paper's ResilientDB fabric uses SHA256 for message digests and for
     hash-chaining ledger blocks; this module provides the same primitive for
-    our {!Poe_ledger} and for HMAC-based authentication ({!Hmac}).
+    our {!Poe_ledger} and for {!Hmac}.
 
     Digests are returned as raw 32-byte strings; use {!to_hex} for display. *)
 
@@ -21,23 +21,6 @@ val digest : string -> string
 val digest_list : string list -> string
 (** Hash of the concatenation of the given strings, without building the
     concatenation. *)
-
-(** {1 Midstates}
-
-    A midstate is the hash chain value after absorbing exactly one 64-byte
-    block. HMAC's inner and outer padded key blocks are fixed per key, so
-    {!Hmac} compresses each once with {!midstate_of_block} and then pays
-    only the per-message compressions via {!resume}. *)
-
-type midstate
-
-val midstate_of_block : string -> midstate
-(** Chain value after hashing the given block (must be exactly 64 bytes)
-    from the initial state. *)
-
-val resume : midstate -> ctx
-(** Fresh streaming context positioned just after that first block (64
-    bytes already counted toward the padded length). *)
 
 val to_hex : string -> string
 (** Lowercase hexadecimal rendering of a raw digest (or any string). *)

@@ -11,6 +11,7 @@ module Server = R.Server
 module Ctx = R.Replica_ctx
 module Hub = R.Hub_core
 module Threshold = Poe_crypto.Threshold
+module Prof = Poe_prof.Prof
 
 type params = {
   config : Config.t;
@@ -245,23 +246,18 @@ module Make (P : R.Protocol_intf.S) = struct
       t.replicas
 
   let attach_heartbeat ?on_sample t hb =
-    let prev_snap =
-      ref (Option.map Poe_obs.Metrics.snapshot (Poe_obs.Metrics.current_registry ()))
-    in
+    (* Deltas come from this domain's own Prof cells: the simulation runs
+       here, while the global accumulator also takes concurrent pool
+       jobs' flushes. *)
+    let prev = ref (Prof.domain_cells ()) in
     every t ~interval:(Poe_live.Heartbeat.interval hb) (fun () ->
+        let cells = Prof.domain_cells () in
         let deltas =
-          match Poe_obs.Metrics.current_registry () with
-          | None -> []
-          | Some reg ->
-              let snap = Poe_obs.Metrics.snapshot reg in
-              let d =
-                match !prev_snap with
-                | Some older -> Poe_obs.Metrics.delta ~older ~newer:snap
-                | None -> Poe_obs.Metrics.snapshot_counters snap
-              in
-              prev_snap := Some snap;
-              d
+          if Poe_obs.Metrics.enabled () then
+            Prof.sum_deltas ~older:!prev ~newer:cells
+          else []
         in
+        prev := cells;
         let sample =
           live_sample ~deltas ~seq:(Poe_live.Heartbeat.count hb) t
         in

@@ -172,6 +172,7 @@ let instrumented ?node_name ?trace ?(metrics = false) ?(profile = false)
     Prof.reset ();
     Prof.enable_regions ()
   end;
+  let cells0 = Prof.domain_cells () in
   let cleanup () =
     Trace.clear ();
     Metrics.clear_current ();
@@ -192,7 +193,17 @@ let instrumented ?node_name ?trace ?(metrics = false) ?(profile = false)
       | Some tr, Some g -> g tr
       | _ -> ());
       (match registry with
-      | Some r -> Format.printf "%a" Metrics.pp_summary r
+      | Some r ->
+          (match
+             Prof.sum_deltas ~older:cells0 ~newer:(Prof.domain_cells ())
+           with
+          | [] -> ()
+          | deltas ->
+              Format.printf "counters:@.";
+              List.iter
+                (fun (name, v) -> Format.printf "  %-40s %12d@." name v)
+                deltas);
+          Format.printf "%a" Metrics.pp_summary r
       | None -> ());
       if profile then begin
         (* Capture before rendering so the renderer's own allocations

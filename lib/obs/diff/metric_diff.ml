@@ -135,20 +135,6 @@ let obj_of_counters cs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) cs)
 let diff_counters ?policies ~a ~b () =
   diff_values ?policies (obj_of_counters a) (obj_of_counters b)
 
-let diff_snapshots ?policies ~a ~b () =
-  let side s =
-    Json.Obj
-      [
-        ("counters", obj_of_counters (Poe_obs.Metrics.snapshot_counters s));
-        ( "gauges",
-          Json.Obj
-            (List.map
-               (fun (k, v) -> (k, Json.Float v))
-               (Poe_obs.Metrics.snapshot_gauges s)) );
-      ]
-  in
-  diff_values ?policies (side a) (side b)
-
 (* [poe_sim profile] budgets tables:
      replies_completed 98597
      consensus.slot_started 98612 1.000152

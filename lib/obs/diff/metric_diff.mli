@@ -61,14 +61,6 @@ val diff_counters :
   outcome
 (** Diff two name-sorted counter tables (exact by default). *)
 
-val diff_snapshots :
-  ?policies:(string * policy) list ->
-  a:Poe_obs.Metrics.snapshot ->
-  b:Poe_obs.Metrics.snapshot ->
-  unit ->
-  outcome
-(** Diff two metrics-registry snapshots: counters and gauges. *)
-
 val parse_budgets : string -> (Poe_analysis.Json.t, string) result
 (** Parse a [poe_sim profile] [.budgets] table ([name total per_reply]
     lines) into a JSON object, so budget drift flows through the same

@@ -1,35 +1,24 @@
-(** A metrics registry: counters, gauges, and log-bucketed latency
-    histograms with quantile estimation.
+(** A registry of log-bucketed latency histograms with quantile
+    estimation.
 
-    Like {!Trace}, metrics are opt-in through a module-level current
-    registry; the [c*]/[g*]/[h*] convenience emitters are no-ops when
-    none is installed, so instrumented paths cost one load-and-branch
-    when metrics are off.
+    Event counts live in {!Poe_prof.Prof}'s dense counter registry; this
+    module only adds the opt-in distributions (latencies, batch sizes,
+    lane utilization) that a counter cannot express.
+
+    Like {!Trace}, histograms are opt-in through a module-level current
+    registry; {!hobs} is a no-op when none is installed, so instrumented
+    paths cost one load-and-branch when metrics are off.
 
     Dumps are deterministic: entries are sorted by name and all values
     derive from simulated time and event counts, never wall-clock. *)
 
-type counter
-type gauge
 type histogram
-
 type t
 
 val create : unit -> t
 
-(** {1 Registration (get-or-create by name)} *)
-
-val counter : t -> string -> counter
-val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
-
-(** {1 Updates} *)
-
-val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
-
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
+(** Get-or-create by name. *)
 
 val observe : histogram -> float -> unit
 (** Record a sample. Values are clamped into the bucketed range
@@ -57,51 +46,12 @@ val set_current : t -> unit
 val clear_current : unit -> unit
 val enabled : unit -> bool
 
-val current_registry : unit -> t option
-(** The calling domain's installed registry, if any — lets samplers
-    (the heartbeat's counter-delta probe) snapshot whatever registry
-    the run installed without threading it through every layer. *)
-
-val cincr : ?by:int -> string -> unit
-(** Increment a counter in the current registry (no-op when disabled). *)
-
-val gset : string -> float -> unit
 val hobs : string -> float -> unit
-
-(** {1 Snapshots and deltas}
-
-    A snapshot freezes every counter and gauge value at one instant;
-    deltas between two snapshots of the same registry are what the live
-    heartbeat sampler emits per interval. Both are deterministic: entries
-    are sorted by name and values derive only from simulated activity. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-(** Freeze the current counter and gauge values (sorted by name). Cheap
-    enough to call on a heartbeat interval. *)
-
-val snapshot_counters : snapshot -> (string * int) list
-(** Counter values captured by the snapshot, sorted by name. *)
-
-val snapshot_gauges : snapshot -> (string * float) list
-
-val delta : older:snapshot -> newer:snapshot -> (string * int) list
-(** Per-counter increments between two snapshots of the same registry:
-    every counter of [newer] whose value changed since [older] (counters
-    absent from [older] count from 0), sorted by name. Gauges are
-    levels, not totals — read them from the snapshot directly. *)
+(** Observe into a histogram of the current registry (no-op when
+    disabled). *)
 
 (** {1 Dump} *)
 
-type row =
-  | Counter_row of string * int
-  | Gauge_row of string * float
-  | Histogram_row of string * int * float * float * float * float * float
-      (** name, count, mean, p50, p95, p99, max *)
-
-val rows : t -> row list
-(** All registered metrics, sorted by name (deterministic). *)
-
 val pp_summary : Format.formatter -> t -> unit
-(** Human-readable table of {!rows}. *)
+(** Table of every histogram, sorted by name: count, mean, p50, p95,
+    p99 and max. *)

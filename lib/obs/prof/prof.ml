@@ -15,20 +15,29 @@ let ix_queue_high_water = 2
 let ix_msgs_sent = 3
 let ix_msgs_delivered = 4
 let ix_msgs_dropped = 5
-let ix_batches_built = 6
-let ix_batched_requests = 7
-let ix_batches_closed = 8
-let ix_batches_executed = 9
-let ix_txns_executed = 10
-let ix_rollbacks = 11
-let ix_slots_abandoned = 12
-let ix_requests_submitted = 13
-let ix_retransmits = 14
-let ix_replies_completed = 15
-let ix_sha256_blocks = 16
-let ix_macs_computed = 17
-let ix_prepared_hits = 18
-let ix_prepared_misses = 19
+let ix_bytes_sent = 6
+let ix_batches_built = 7
+let ix_batched_requests = 8
+let ix_batches_closed = 9
+let ix_batches_executed = 10
+let ix_txns_executed = 11
+let ix_rollbacks = 12
+let ix_slots_abandoned = 13
+let ix_requests_submitted = 14
+let ix_retransmits = 15
+let ix_replies_completed = 16
+let ix_sha256_blocks = 17
+let ix_checkpoints = 18
+let ix_state_transfer_requests = 19
+let ix_divergence_repairs = 20
+let ix_snapshots_adopted = 21
+let ix_suspicions = 22
+let ix_view_changes = 23
+let ix_new_views = 24
+let ix_slow_paths = 25
+let ix_commit_certs = 26
+let ix_block_fetches = 27
+let ix_pacemaker_timeouts = 28
 
 let counter_defs =
   [|
@@ -38,6 +47,7 @@ let counter_defs =
     ("net.msgs_sent", Sum);
     ("net.msgs_delivered", Sum);
     ("net.msgs_dropped", Sum);
+    ("net.bytes_sent", Sum);
     ("msg.batches_built", Sum);
     ("msg.batched_requests", Sum);
     ("pipeline.batches_closed", Sum);
@@ -49,14 +59,22 @@ let counter_defs =
     ("hub.retransmits", Sum);
     ("hub.replies_completed", Sum);
     ("sha256.blocks_compressed", Sum);
-    ("hmac.macs_computed", Sum);
-    ("keychain.prepared_hits", Sum);
-    ("keychain.prepared_misses", Sum);
+    ("recovery.checkpoints", Sum);
+    ("recovery.state_transfer_requests", Sum);
+    ("recovery.divergence_repairs", Sum);
+    ("recovery.snapshots_adopted", Sum);
+    ("recovery.suspicions", Sum);
+    ("vc.view_changes", Sum);
+    ("vc.new_views", Sum);
+    ("sbft.slow_paths", Sum);
+    ("zyzzyva.commit_certs", Sum);
+    ("hotstuff.block_fetches", Sum);
+    ("hotstuff.pacemaker_timeouts", Sum);
   |]
 
 let n_counters = Array.length counter_defs
 
-let () = assert (n_counters = ix_prepared_misses + 1)
+let () = assert (n_counters = ix_pacemaker_timeouts + 1)
 
 let cells_key : int array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Array.make n_counters 0)
@@ -255,13 +273,70 @@ let reset () =
   Hashtbl.reset st.table;
   st.stack <- []
 
-let counters () =
+let combined_cells () =
   let combined = Array.make n_counters 0 in
   Mutex.lock merge_mutex;
   Array.blit merged_cells 0 combined 0 n_counters;
   Mutex.unlock merge_mutex;
   merge_cells_into combined (cells ());
-  Array.mapi (fun i v -> (fst counter_defs.(i), v)) combined
+  combined
+
+let counters () =
+  Array.mapi (fun i v -> (fst counter_defs.(i), v)) (combined_cells ())
+
+(* ------------------------------------------------------------------ *)
+(* Counter deltas                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let domain_cells () = Array.copy (cells ())
+
+let sum_deltas ~older ~newer =
+  let acc = ref [] in
+  for i = n_counters - 1 downto 0 do
+    let name, kind = counter_defs.(i) in
+    let d = newer.(i) - older.(i) in
+    if kind = Sum && d <> 0 then acc := (name, d) :: !acc
+  done;
+  !acc
+
+(* A high-water mark read across a window is the peak since the window
+   opened, so the Max cells (global and this domain's) restart at zero
+   for [f] and get back the larger of both peaks afterwards; nested
+   windows therefore leave every enclosing peak intact. *)
+let with_counters f =
+  let is_max i = snd counter_defs.(i) = Max in
+  let restart cs =
+    let saved = Array.copy cs in
+    Array.iteri (fun i _ -> if is_max i then cs.(i) <- 0) cs;
+    saved
+  in
+  let restore cs saved =
+    Array.iteri
+      (fun i v -> if is_max i && v > cs.(i) then cs.(i) <- v)
+      saved
+  in
+  let before = combined_cells () in
+  Mutex.lock merge_mutex;
+  let saved_merged = restart merged_cells in
+  Mutex.unlock merge_mutex;
+  let saved_local = restart (cells ()) in
+  let finally () =
+    restore (cells ()) saved_local;
+    Mutex.lock merge_mutex;
+    restore merged_cells saved_merged;
+    Mutex.unlock merge_mutex
+  in
+  let r, after =
+    Fun.protect ~finally (fun () ->
+        let r = f () in
+        (r, combined_cells ()))
+  in
+  ( r,
+    Array.to_list
+      (Array.mapi
+         (fun i (name, kind) ->
+           (name, match kind with Sum -> after.(i) - before.(i) | Max -> after.(i)))
+         counter_defs) )
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -358,7 +433,7 @@ let render_table ?(top = 20) snap =
   end;
   Buffer.add_string b "counters\n";
   Array.iter
-    (fun (name, v) -> Buffer.add_string b (Printf.sprintf "  %-28s %d\n" name v))
+    (fun (name, v) -> Buffer.add_string b (Printf.sprintf "  %-34s %d\n" name v))
     snap.counters;
   (match budgets snap with
   | [] -> ()
@@ -368,7 +443,7 @@ let render_table ?(top = 20) snap =
            (replies snap));
       List.iter
         (fun (name, v) ->
-          Buffer.add_string b (Printf.sprintf "  %-28s %s\n" name (fsec v)))
+          Buffer.add_string b (Printf.sprintf "  %-34s %s\n" name (fsec v)))
         bs);
   Buffer.contents b
 

@@ -9,11 +9,13 @@
     {ul
     {- A fixed {b counter registry}: always-on, branch-free integer
        counters bumped from the hot paths (event queue, network, message
-       construction, execution, crypto). Counter totals are a pure
-       function of the simulated workload, so for a fixed seed they are
-       byte-identical run-to-run and across job counts — which makes them
-       diffable regression baselines and a check of the paper's
-       per-protocol message/crypto complexity claims.}
+       construction, execution, crypto) and from the rarer protocol
+       events (checkpoints, state transfer, suspicions, view changes).
+       Counter totals are a pure function of the simulated workload, so
+       for a fixed seed they are byte-identical run-to-run and across job
+       counts — which makes them diffable regression baselines and a
+       check of the paper's per-protocol message/crypto complexity
+       claims.}
     {- An opt-in {b scoped region profiler}: nested regions capturing
        wall-clock and allocation deltas ([Gc.allocated_bytes],
        [Gc.quick_stat]) with self-vs-total attribution, rendered as a
@@ -49,6 +51,8 @@ val ix_msgs_delivered : int  (** [net.msgs_delivered] *)
 
 val ix_msgs_dropped : int  (** [net.msgs_dropped] *)
 
+val ix_bytes_sent : int  (** [net.bytes_sent] (lost sends included) *)
+
 val ix_batches_built : int  (** [msg.batches_built] *)
 
 val ix_batched_requests : int  (** [msg.batched_requests] *)
@@ -71,11 +75,30 @@ val ix_replies_completed : int  (** [hub.replies_completed] *)
 
 val ix_sha256_blocks : int  (** [sha256.blocks_compressed] *)
 
-val ix_macs_computed : int  (** [hmac.macs_computed] *)
+val ix_checkpoints : int  (** [recovery.checkpoints] *)
 
-val ix_prepared_hits : int  (** [keychain.prepared_hits] *)
+val ix_state_transfer_requests : int
+(** [recovery.state_transfer_requests] *)
 
-val ix_prepared_misses : int  (** [keychain.prepared_misses] *)
+val ix_divergence_repairs : int  (** [recovery.divergence_repairs] *)
+
+val ix_snapshots_adopted : int  (** [recovery.snapshots_adopted] *)
+
+val ix_suspicions : int  (** [recovery.suspicions] *)
+
+val ix_view_changes : int
+(** [vc.view_changes]: a replica started a view change (every protocol
+    but HotStuff, whose pacemaker only sends new-views). *)
+
+val ix_new_views : int  (** [vc.new_views]: a replica entered a new view *)
+
+val ix_slow_paths : int  (** [sbft.slow_paths] *)
+
+val ix_commit_certs : int  (** [zyzzyva.commit_certs] *)
+
+val ix_block_fetches : int  (** [hotstuff.block_fetches] *)
+
+val ix_pacemaker_timeouts : int  (** [hotstuff.pacemaker_timeouts] *)
 
 val counter_defs : (string * kind) array
 (** Name and merge kind of every counter, in index order. *)
@@ -93,6 +116,25 @@ val counters : unit -> (string * int) array
 (** Current totals in index order: the global accumulator (everything
     flushed by finished pool jobs) combined with the calling domain's
     own cells. Does not mutate anything. *)
+
+val domain_cells : unit -> int array
+(** A copy of the calling domain's own cells, in index order. Unlike
+    {!counters} it leaves out the global accumulator, which pool workers
+    flush into mid-run, so two copies taken around a stretch of this
+    domain's work differ by exactly that work. *)
+
+val sum_deltas : older:int array -> newer:int array -> (string * int) list
+(** The non-zero increments of the [Sum] counters between two
+    {!domain_cells} copies, in index order. [Max] counters are left out:
+    the difference of two high-water marks counts nothing. *)
+
+val with_counters : (unit -> 'a) -> 'a * (string * int) list
+(** [with_counters f] runs [f] and returns every counter's share of it,
+    in index order: a [Sum] counter as the difference of its {!counters}
+    totals (so pool jobs that flushed during [f] count), a [Max] counter
+    as the peak reached during [f] alone. The [Max] marks restart for
+    [f] and take back the larger peak when it returns, so the totals
+    outside the window and any enclosing window's peak are unchanged. *)
 
 val flush_domain : unit -> unit
 (** Merge the calling domain's counters and regions into the global
@@ -184,7 +226,8 @@ type bench_figure = {
   fig_major : int;
   fig_promoted : float;
   fig_counters : (string * int) list;
-      (** counter deltas over the figure, in [counter_defs] order *)
+      (** the figure's counters as {!with_counters} reports them, in
+          [counter_defs] order *)
 }
 
 val wallclock_json :

@@ -12,7 +12,7 @@ module Block = Poe_ledger.Block
 
 let name = "pbft"
 
-module Metrics = Poe_obs.Metrics
+module Prof = Poe_prof.Prof
 
 type vc_payload = {
   from_view : int;
@@ -322,7 +322,7 @@ let rec initiate_view_change t ~from_view =
   in
   if (not already) && from_view >= t.view then begin
     tr_instant t "view_change";
-    if Metrics.enabled () then Metrics.cincr "pbft.view_changes";
+    Prof.(bump ix_view_changes);
     t.status <- In_view_change from_view;
     t.nv_deadline <- Ctx.now t.ctx +. nv_deadline_for t;
     t.vc_round <- t.vc_round + 1;
@@ -428,7 +428,7 @@ and enter_new_view t ~new_view ~vcs =
   t.status <- Active;
   t.vc_round <- 0;
   tr_instant t "new_view";
-  if Metrics.enabled () then Metrics.cincr "pbft.new_views";
+  Prof.(bump ix_new_views);
   let max_reproposed =
     Hashtbl.fold (fun s _ acc -> max s acc) reproposals kmax
   in

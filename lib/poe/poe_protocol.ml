@@ -14,7 +14,7 @@ open Poe_msg
 
 let name = "poe"
 
-module Metrics = Poe_obs.Metrics
+module Prof = Poe_prof.Prof
 
 (* Per-(view, seqno) consensus slot. *)
 type slot = {
@@ -445,7 +445,7 @@ let rec initiate_view_change t ~from_view =
   in
   if (not already_requested) && from_view >= t.view then begin
     tr_instant t "view_change";
-    if Metrics.enabled () then Metrics.cincr "poe.view_changes";
+    Prof.(bump ix_view_changes);
     t.status <- In_view_change from_view;
     (* Timeout starts at δ and doubles with each consecutive view change
        (exponential backoff, proof of Theorem 7). *)
@@ -579,7 +579,7 @@ and enter_new_view t ~new_view ~vcs =
   t.status <- Active;
   t.vc_round <- 0;
   tr_instant t "new_view";
-  if Metrics.enabled () then Metrics.cincr "poe.new_views";
+  Prof.(bump ix_new_views);
   t.last_nv <- Some (new_view, vcs);
   (* If the checkpoint floor kept us ahead of [kmax], new slots must open
      above everything we hold final — re-assigning a certified-final seqno

@@ -45,8 +45,6 @@ let close_batch t =
           ]
         "close_batch";
     if Poe_obs.Metrics.enabled () then begin
-      Poe_obs.Metrics.cincr "pipeline.batches";
-      Poe_obs.Metrics.cincr ~by:size "pipeline.batched_requests";
       Poe_obs.Metrics.hobs "pipeline.batch_size" (float_of_int size);
       Poe_obs.Metrics.hobs "pipeline.queue_depth"
         (float_of_int (Queue.length t.queue))

@@ -13,7 +13,7 @@ module Block = Poe_ledger.Block
 let name = "sbft"
 
 module Trace = Poe_obs.Trace
-module Metrics = Poe_obs.Metrics
+module Prof = Poe_prof.Prof
 
 (* View-change summary: executed prefix above the stable checkpoint, plus
    two certificate strengths for in-flight slots — [certified] (a commit
@@ -343,7 +343,7 @@ let process_first_proof t ~view ~seqno slot ~digest ~full =
     if Trace.enabled () then
       Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx) ~cat:name
         ~seqno "slow_path";
-    if Metrics.enabled () then Metrics.cincr "sbft.slow_paths";
+    Prof.(bump ix_slow_paths);
     let c = costs t in
     Ctx.work t.ctx Server.Worker
       ~cost:(c.Cost.ts_verify +. c.Cost.ts_share_sign)
@@ -640,7 +640,7 @@ let rec initiate_view_change t ~from_view =
   in
   if (not already) && from_view >= t.view then begin
     tr_instant t "view_change";
-    if Metrics.enabled () then Metrics.cincr "sbft.view_changes";
+    Prof.(bump ix_view_changes);
     (if t.status = Active then begin
        t.vc_phase_slot <- Exec.k_exec t.exec + 1;
        tr_phase t ~view:(from_view + 1) ~seqno:t.vc_phase_slot "view_change"
@@ -806,7 +806,7 @@ and enter_new_view t ~new_view ~vcs =
   t.vc_round <- 0;
   tr_instant t "new_view";
   tr_phase t ~view:new_view ~seqno:t.vc_phase_slot "new_view";
-  if Metrics.enabled () then Metrics.cincr "sbft.new_views";
+  Prof.(bump ix_new_views);
   t.last_nv <- Some (new_view, vcs);
   let max_reproposed =
     Hashtbl.fold (fun s _ acc -> max s acc) reproposals kmax

@@ -56,18 +56,16 @@ let set_handler t id handler =
   t.handlers.(id) <- Some handler
 
 module Trace = Poe_obs.Trace
-module Metrics = Poe_obs.Metrics
 module Prof = Poe_prof.Prof
 
-(* Hot path: tracing and metrics are pre-guarded so a disabled run pays
-   one load-and-branch per message and allocates nothing. *)
+(* Hot path: tracing is pre-guarded so a disabled run pays one
+   load-and-branch per message and allocates nothing. *)
 let trace_drop t ~mid ~src ~dst ~bytes =
   Prof.bump Prof.ix_msgs_dropped;
   if Trace.enabled () then
     Trace.instant ~ts:(Engine.now t.engine) ~node:src ~cat:"net"
       ~args:[ ("mid", Trace.I mid); ("dst", Trace.I dst); ("bytes", Trace.I bytes) ]
-      "drop";
-  if Metrics.enabled () then Metrics.cincr "net.dropped_messages"
+      "drop"
 
 let deliver t ~mid ~src ~dst ~bytes msg =
   if t.crashed.(dst) then begin
@@ -121,20 +119,18 @@ let send t ~src ~dst ~bytes msg =
     t.sent_bytes <- t.sent_bytes + bytes;
     t.dropped_messages <- t.dropped_messages + 1;
     Prof.bump Prof.ix_msgs_sent;
+    Prof.bump_by Prof.ix_bytes_sent bytes;
     trace_drop t ~mid ~src ~dst ~bytes
   end
   else begin
     t.sent_messages <- t.sent_messages + 1;
     t.sent_bytes <- t.sent_bytes + bytes;
     Prof.bump Prof.ix_msgs_sent;
+    Prof.bump_by Prof.ix_bytes_sent bytes;
     if Trace.enabled () then
       Trace.instant ~ts:(Engine.now t.engine) ~node:src ~cat:"net"
         ~args:[ ("mid", Trace.I mid); ("dst", Trace.I dst); ("bytes", Trace.I bytes) ]
         "send";
-    if Metrics.enabled () then begin
-      Metrics.cincr "net.sent_messages";
-      Metrics.cincr ~by:bytes "net.sent_bytes"
-    end;
     let now = Engine.now t.engine in
     let departure =
       match t.bandwidth with

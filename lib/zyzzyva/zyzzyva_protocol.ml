@@ -13,7 +13,7 @@ module Block = Poe_ledger.Block
 let name = "zyzzyva"
 
 module Trace = Poe_obs.Trace
-module Metrics = Poe_obs.Metrics
+module Prof = Poe_prof.Prof
 
 (* Replica-exchanged view-change summary: this replica's speculative
    history above its stable checkpoint, plus the highest slot it acked a
@@ -237,7 +237,7 @@ let rec initiate_view_change t ~from_view =
   in
   if (not already_requested) && from_view >= t.view then begin
     tr_instant t "view_change";
-    if Metrics.enabled () then Metrics.cincr "zyzzyva.view_changes";
+    Prof.(bump ix_view_changes);
     (if t.status = Active then begin
        (* Open the failover span on the first slot the view change
           blocks; enter_new_view closes it with a "new_view" phase. *)
@@ -449,7 +449,7 @@ and enter_new_view t ~new_view ~vcs =
   t.vc_round <- 0;
   tr_instant t "new_view";
   tr_phase t ~view:new_view ~seqno:t.vc_phase_slot "new_view";
-  if Metrics.enabled () then Metrics.cincr "zyzzyva.new_views";
+  Prof.(bump ix_new_views);
   t.last_nv <- Some (new_view, vcs);
   Hashtbl.reset t.retries;
   (* Never re-propose into the certified prefix: a new primary that is
@@ -545,7 +545,7 @@ let on_commit_cert t ~seqno ~digest ~acks ~hub =
     if Trace.enabled () then
       Trace.instant ~ts:(Ctx.now t.ctx) ~node:(Ctx.id t.ctx) ~cat:name ~seqno
         "commit_cert";
-    if Metrics.enabled () then Metrics.cincr "zyzzyva.commit_certs";
+    Prof.(bump ix_commit_certs);
     t.cc_upto <- max t.cc_upto seqno;
     Ctx.send_hub t.ctx ~hub ~bytes:Message.Wire.vote
       (Local_commit { seqno; digest; acks; replica = Ctx.id t.ctx })

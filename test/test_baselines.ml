@@ -19,6 +19,13 @@ module CZ = Cluster.Make (Zyzzyva)
 module CS = Cluster.Make (Sbft)
 module CH = Cluster.Make (Hotstuff)
 
+(* Fails unless each named Prof counter is non-zero in [counts]. *)
+let check_counted counts names =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted") true (List.assoc name counts > 0))
+    names
+
 let config ?(n = 4) ?(scheme = Config.Auth_mac) ?(request_timeout = 0.4) () =
   Config.make ~n ~batch_size:5 ~materialize:true ~replica_scheme:scheme
     ~n_hubs:2 ~clients_per_hub:4 ~request_timeout ~view_timeout:0.2
@@ -49,7 +56,9 @@ let test_pbft_primary_crash () =
   let c = CP.build { (Cluster.default_params ~config:(config ())) with
                      warmup = 0.4; measure = 2.5 } in
   CP.crash_replica c 0 ~at:0.8;
-  CP.run c;
+  let (), counts = Poe_prof.Prof.with_counters (fun () -> CP.run c) in
+  check_counted counts
+    [ "vc.view_changes"; "vc.new_views"; "recovery.suspicions" ];
   Alcotest.(check bool) "agreement" true (CP.committed_prefix_agrees c);
   Alcotest.(check bool) "view changed" true (Pbft.view_of c.CP.replicas.(1) >= 1);
   Alcotest.(check bool) "live after view change" true
@@ -147,7 +156,10 @@ let test_hotstuff_leader_crash_pacemaker () =
   (* Crash a replica: every n-th round stalls for a pacemaker timeout but
      the chain keeps committing (skipped rounds become empty blocks). *)
   CH.crash_replica c 2 ~at:0.5;
-  CH.run c;
+  let (), counts = Poe_prof.Prof.with_counters (fun () -> CH.run c) in
+  (* The pacemaker hands a stalled round over with NEW-VIEW alone:
+     HotStuff never bumps vc.view_changes. *)
+  check_counted counts [ "hotstuff.pacemaker_timeouts"; "vc.new_views" ];
   Alcotest.(check bool) "agreement" true (CH.committed_prefix_agrees c);
   Alcotest.(check bool) "chain alive past crashes" true
     (Stats.completed_total c.CH.stats > 20)

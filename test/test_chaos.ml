@@ -15,6 +15,13 @@ module Generator = Poe_chaos.Generator
 module Auditor = Poe_chaos.Auditor
 module Runner = Poe_chaos.Runner
 
+(* Fails unless each named Prof counter is non-zero in [counts]. *)
+let check_counted counts names =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted") true (List.assoc name counts > 0))
+    names
+
 (* ------------------------------------------------------------------ *)
 (* Generator: determinism and structure                                *)
 
@@ -379,10 +386,13 @@ let failover_case (module P : R.Protocol_intf.S) seeds =
     let module Ch = Runner.Make (P) in
     List.iter
       (fun seed ->
-        let o =
-          Ch.run_seed ~seed ~horizon:2.0 ~drain:1.2 ~stall_window:2.5
-            ~extra:[ silence_primary_at 0.3 ] ()
+        let o, counts =
+          Poe_prof.Prof.with_counters (fun () ->
+              Ch.run_seed ~seed ~horizon:2.0 ~drain:1.2 ~stall_window:2.5
+                ~extra:[ silence_primary_at 0.3 ] ())
         in
+        check_counted counts
+          [ "vc.view_changes"; "vc.new_views"; "recovery.suspicions" ];
         (match o.Ch.stall with
         | None -> ()
         | Some s ->

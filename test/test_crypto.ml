@@ -7,13 +7,8 @@ module Hmac = Poe_crypto.Hmac
 module Gf61 = Poe_crypto.Gf61
 module Shamir = Poe_crypto.Shamir
 module Threshold = Poe_crypto.Threshold
-module Keychain = Poe_crypto.Keychain
 
 let hex = Sha256.to_hex
-
-let of_hex s =
-  let n = String.length s / 2 in
-  String.init n (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
 
 (* ------------------------------------------------------------------ *)
 (* SHA-256                                                             *)
@@ -100,30 +95,6 @@ let test_hmac_rfc4231 () =
        (Hmac.mac
           ~key:(String.make 131 '\xaa')
           "Test Using Larger Than Block-Size Key - Hash Key First"))
-
-let test_hmac_verify () =
-  let key = "secret" and msg = "message" in
-  let tag = Hmac.mac ~key msg in
-  Alcotest.(check bool) "accepts valid" true (Hmac.verify ~key msg ~tag);
-  Alcotest.(check bool) "rejects wrong msg" false (Hmac.verify ~key "other" ~tag);
-  Alcotest.(check bool) "rejects wrong key" false
-    (Hmac.verify ~key:"wrong" msg ~tag);
-  let corrupted = of_hex (hex tag) in
-  let corrupted =
-    String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c)
-      corrupted
-  in
-  Alcotest.(check bool) "rejects bit flip" false
-    (Hmac.verify ~key msg ~tag:corrupted);
-  Alcotest.(check bool) "rejects truncated" false
-    (Hmac.verify ~key msg ~tag:(String.sub tag 0 16))
-
-let test_hmac_truncated () =
-  let key = "k" and msg = "m" in
-  let full = Hmac.mac ~key msg in
-  Alcotest.(check string) "prefix" (String.sub full 0 8) (Hmac.truncated ~key msg 8);
-  Alcotest.check_raises "zero length" (Invalid_argument "Hmac.truncated")
-    (fun () -> ignore (Hmac.truncated ~key msg 0))
 
 (* ------------------------------------------------------------------ *)
 (* GF(2^61 - 1)                                                        *)
@@ -330,29 +301,6 @@ let threshold_qcheck =
         | Error _ -> false);
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Keychain                                                            *)
-
-let test_keychain () =
-  let kc = Keychain.create ~n_replicas:4 ~n_clients:2 ~seed:"kc" in
-  let r0 = Keychain.Replica 0 and r1 = Keychain.Replica 1 in
-  let c0 = Keychain.Client 0 in
-  let tag = Keychain.mac kc ~src:r0 ~dst:r1 "hello" in
-  Alcotest.(check bool) "mac verifies" true
-    (Keychain.check_mac kc ~src:r0 ~dst:r1 "hello" ~tag);
-  Alcotest.(check bool) "mac symmetric in endpoints" true
-    (Keychain.check_mac kc ~src:r1 ~dst:r0 "hello" ~tag);
-  Alcotest.(check bool) "other pair rejects" false
-    (Keychain.check_mac kc ~src:r0 ~dst:c0 "hello" ~tag);
-  let sig_ = Keychain.sign kc ~signer:c0 "req" in
-  Alcotest.(check bool) "signature verifies" true
-    (Keychain.check_sign kc ~signer:c0 "req" ~tag:sig_);
-  Alcotest.(check bool) "not forgeable as other signer" false
-    (Keychain.check_sign kc ~signer:r0 "req" ~tag:sig_);
-  Alcotest.check_raises "unknown node"
-    (Invalid_argument "Keychain: unknown node") (fun () ->
-      ignore (Keychain.mac kc ~src:(Keychain.Replica 9) ~dst:r0 "x"))
-
 let () =
   Alcotest.run "crypto"
     [
@@ -367,8 +315,6 @@ let () =
       ( "hmac",
         [
           Alcotest.test_case "rfc4231 vectors" `Quick test_hmac_rfc4231;
-          Alcotest.test_case "verify" `Quick test_hmac_verify;
-          Alcotest.test_case "truncated" `Quick test_hmac_truncated;
         ] );
       ( "gf61",
         Alcotest.test_case "edge cases" `Quick test_gf_edge_cases
@@ -387,5 +333,4 @@ let () =
           Alcotest.test_case "serialization" `Quick test_threshold_serialization;
         ]
         @ List.map QCheck_alcotest.to_alcotest threshold_qcheck );
-      ("keychain", [ Alcotest.test_case "macs and signatures" `Quick test_keychain ]);
     ]

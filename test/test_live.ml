@@ -1,14 +1,15 @@
 (* Live-observability unit tests: heartbeat serialization is byte-stable
    and unstable-taggable, the stall watchdog latches exactly when commit
-   progress stops with work outstanding, metrics snapshots diff
-   correctly, the engine step budget halts runs, flight bundles land on
+   progress stops with work outstanding, counter deltas cover only the
+   sampling domain's Sum counters, the engine step budget halts runs, flight bundles land on
    disk with a parseable manifest, and the pool's progress notifier
    fires on sequential and pooled paths alike. *)
 
 module Heartbeat = Poe_live.Heartbeat
 module Watchdog = Poe_live.Watchdog
 module Flight = Poe_live.Flight
-module Metrics = Poe_obs.Metrics
+module Prof = Poe_prof.Prof
+module Pool = Poe_parallel.Pool
 module Trace = Poe_obs.Trace
 module Engine = Poe_simnet.Engine
 module Json = Poe_analysis.Json
@@ -198,32 +199,36 @@ let test_watchdog_force () =
   | None -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Metrics snapshots                                                   *)
+(* Heartbeat counter deltas                                            *)
 
-let test_metrics_snapshot_delta () =
-  let reg = Metrics.create () in
-  Metrics.incr ~by:5 (Metrics.counter reg "a");
-  Metrics.incr ~by:3 (Metrics.counter reg "b");
-  Metrics.set (Metrics.gauge reg "g") 2.5;
-  let older = Metrics.snapshot reg in
+(* The heartbeat differences this domain's own Prof cells: Sum counters
+   only, and never what a concurrent pool job flushes into the global
+   accumulator. *)
+let test_prof_domain_deltas () =
+  Pool.set_job_epilogue Prof.flush_domain;
+  let total name = List.assoc name (Array.to_list (Prof.counters ())) in
+  let older = Prof.domain_cells () in
+  Prof.bump_by Prof.ix_msgs_sent 5;
+  Prof.bump_by Prof.ix_bytes_sent 300;
+  Prof.bump_max Prof.ix_queue_high_water
+    (older.(Prof.ix_queue_high_water) + 7);
+  let sent = total "net.msgs_sent" in
+  ignore
+    (Pool.run_list ~jobs:2
+       [
+         (fun () -> Prof.bump_by Prof.ix_msgs_sent 1000);
+         (fun () -> Prof.bump_by Prof.ix_msgs_sent 1000);
+       ]);
+  Alcotest.(check int) "pool jobs flushed into the global total"
+    (sent + 2000) (total "net.msgs_sent");
+  let newer = Prof.domain_cells () in
   Alcotest.(check (list (pair string int)))
-    "snapshot counters"
-    [ ("a", 5); ("b", 3) ]
-    (Metrics.snapshot_counters older);
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "snapshot gauges" [ ("g", 2.5) ]
-    (Metrics.snapshot_gauges older);
-  Metrics.incr ~by:2 (Metrics.counter reg "b");
-  Metrics.incr ~by:7 (Metrics.counter reg "c");
-  let newer = Metrics.snapshot reg in
-  (* Unchanged counters are omitted; new counters count from zero. *)
-  Alcotest.(check (list (pair string int)))
-    "delta"
-    [ ("b", 2); ("c", 7) ]
-    (Metrics.delta ~older ~newer);
+    "Sum counters differenced, Max excluded, pool flushes absent"
+    [ ("net.msgs_sent", 5); ("net.bytes_sent", 300) ]
+    (Prof.sum_deltas ~older ~newer);
   Alcotest.(check (list (pair string int)))
     "self-delta empty" []
-    (Metrics.delta ~older:newer ~newer)
+    (Prof.sum_deltas ~older:newer ~newer)
 
 (* ------------------------------------------------------------------ *)
 (* Engine step budget                                                  *)
@@ -408,8 +413,8 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "snapshot and delta" `Quick
-            test_metrics_snapshot_delta;
+          Alcotest.test_case "prof domain deltas" `Quick
+            test_prof_domain_deltas;
         ] );
       ( "engine",
         [

@@ -90,7 +90,6 @@ let test_disabled_emitters_are_noops () =
   Trace.phase ~ts:0.0 ~node:0 ~cat:"x" ~view:0 ~seqno:0 "p";
   Alcotest.(check (option (float 0.0))) "slot_done none" None
     (Trace.slot_done ~ts:1.0 ~node:0 ~view:0 ~seqno:0);
-  Metrics.cincr "c";
   Metrics.hobs "h" 1.0
 
 (* ------------------------------------------------------------------ *)

@@ -26,6 +26,13 @@ let build ?(warmup = 0.4) ?(measure = 2.0) config =
 
 let completed c = Stats.completed_total c.C.stats
 
+(* Fails unless each named Prof counter is non-zero in [counts]. *)
+let check_counted counts names =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted") true (List.assoc name counts > 0))
+    names
+
 let check_agreement c = Alcotest.(check bool) "prefix agreement" true
     (C.committed_prefix_agrees c)
 
@@ -88,7 +95,9 @@ let test_backup_crash () =
 let test_primary_crash_view_change () =
   let c = build ~measure:2.5 (default_config ()) in
   C.crash_replica c 0 ~at:0.8;
-  C.run c;
+  let (), counts = Poe_prof.Prof.with_counters (fun () -> C.run c) in
+  check_counted counts
+    [ "vc.view_changes"; "vc.new_views"; "recovery.suspicions" ];
   check_agreement c;
   check_chains_verify c;
   (* The survivors moved to a new view with a live primary and resumed. *)

@@ -47,26 +47,44 @@ let test_counters_identical_across_jobs () =
     (counter_value "sim.queue_high_water" > 0);
   Prof.reset ()
 
-(* The crypto counters are only driven by *materialized* crypto — cost-only
-   simulation charges simulated time without computing MACs/digests — so
-   exercise them directly through the keychain. *)
+(* The SHA-256 counter is only driven by *materialized* crypto — cost-only
+   simulation charges simulated time without computing digests — so
+   exercise it directly. *)
 let test_crypto_counters () =
   Prof.reset ();
   let open Poe_crypto in
-  let kc = Keychain.create ~n_replicas:4 ~n_clients:2 ~seed:"counter-test" in
-  let tag = Keychain.mac kc ~src:(Keychain.Replica 0) ~dst:(Keychain.Replica 1) "msg" in
-  Alcotest.(check bool) "mac verifies" true
-    (* The pairwise key is symmetric: the reverse direction hits the cache. *)
-    (Keychain.check_mac kc ~src:(Keychain.Replica 1) ~dst:(Keychain.Replica 0)
-       "msg" ~tag);
-  Alcotest.(check bool) "macs computed" true
-    (counter_value "hmac.macs_computed" > 0);
-  Alcotest.(check bool) "sha256 blocks" true
-    (counter_value "sha256.blocks_compressed" > 0);
-  Alcotest.(check int) "one derivation miss" 1
-    (counter_value "keychain.prepared_misses");
-  Alcotest.(check int) "one cache hit" 1
-    (counter_value "keychain.prepared_hits");
+  ignore (Sha256.digest "abc");
+  Alcotest.(check int) "short message: one block" 1
+    (counter_value "sha256.blocks_compressed");
+  (* HMAC: inner (64-byte key block + 3 bytes + padding) and outer
+     (key block + 32-byte inner digest + padding) hash two blocks each. *)
+  ignore (Hmac.mac ~key:"k" "msg");
+  Alcotest.(check int) "hmac: four more blocks" 5
+    (counter_value "sha256.blocks_compressed");
+  Prof.reset ()
+
+(* Each window reports its own high-water mark, even when a later one
+   peaks lower, and leaves the overall mark intact. *)
+let test_window_peaks () =
+  Prof.reset ();
+  let queue_peak = List.assoc "sim.queue_high_water" in
+  let (), first =
+    Prof.with_counters (fun () ->
+        Prof.bump_max Prof.ix_queue_high_water 50;
+        Prof.bump Prof.ix_msgs_sent)
+  in
+  let (), second =
+    Prof.with_counters (fun () ->
+        Prof.bump_max Prof.ix_queue_high_water 20;
+        Prof.bump_by Prof.ix_msgs_sent 3)
+  in
+  Alcotest.(check int) "first peak" 50 (queue_peak first);
+  Alcotest.(check int) "second, lower peak" 20 (queue_peak second);
+  Alcotest.(check int) "first sum" 1 (List.assoc "net.msgs_sent" first);
+  Alcotest.(check int) "second sum" 3 (List.assoc "net.msgs_sent" second);
+  Alcotest.(check int) "overall peak kept" 50
+    (counter_value "sim.queue_high_water");
+  Alcotest.(check int) "overall sum" 4 (counter_value "net.msgs_sent");
   Prof.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -203,7 +221,7 @@ let test_wallclock_roundtrip () =
           [
             ("sim.events_pushed", 10);
             ("hub.replies_completed", 5);
-            ("hmac.macs_computed", 20);
+            ("net.bytes_sent", 20);
           ];
       };
     ]
@@ -225,7 +243,7 @@ let test_wallclock_roundtrip () =
           let budgets = Option.get (Json.member "budgets" fig) in
           Alcotest.(check (option (float 1e-9)))
             "budget = count / replies" (Some 4.0)
-            (Option.bind (Json.member "hmac.macs_computed" budgets) Json.to_float);
+            (Option.bind (Json.member "net.bytes_sent" budgets) Json.to_float);
           Alcotest.(check (option (float 1e-6)))
             "alloc survives stripping" (Some 123456.0)
             (Option.bind (Json.member "allocated_bytes" fig) Json.to_float)
@@ -256,6 +274,7 @@ let () =
           Alcotest.test_case "jobs=1 = jobs=4 and nonzero" `Slow
             test_counters_identical_across_jobs;
           Alcotest.test_case "crypto counters" `Quick test_crypto_counters;
+          Alcotest.test_case "window peaks" `Quick test_window_peaks;
         ] );
       ( "regions",
         [
